@@ -13,8 +13,8 @@
 //   (c) accuracy — the DiagnosisCampaign table: rank of the *known*
 //       seeded fault block per fault kind, for a uniform scenario draw
 //       and for the minimized fuzz findings the repo ships
-//       (FUZZ_corpus.json), i.e. exactly the scenarios where detection
-//       once failed.
+//       (tests/data/FUZZ_corpus.json), i.e. exactly the scenarios where
+//       detection once failed.
 // Everything lands in BENCH_fleetdiag.json.
 #include "bench_common.hpp"
 
@@ -50,17 +50,15 @@ namespace {
 
 std::string slot_name(std::size_t k) { return "tv" + std::to_string(k); }
 
+/// The tracked findings fixture the tests replay (the output of
+/// `fuzz_demo 2026 200`), resolved relative to this source file.
 std::string corpus_path() {
   std::string dir(__FILE__);
   const auto slash = dir.find_last_of('/');
   dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-  for (const std::string& candidate :
-       {dir + "/../FUZZ_corpus.json", std::string("FUZZ_corpus.json"),
-        std::string("../FUZZ_corpus.json")}) {
-    struct stat st{};
-    if (::stat(candidate.c_str(), &st) == 0 && st.st_size > 0) return candidate;
-  }
-  return "";
+  const std::string path = dir + "/../tests/data/FUZZ_corpus.json";
+  struct stat st{};
+  return ::stat(path.c_str(), &st) == 0 && st.st_size > 0 ? path : "";
 }
 
 struct SweepRun {
@@ -182,7 +180,7 @@ void report() {
                 findings.scenarios, findings.scored, campaign_cfg.top_k,
                 findings.top_k_rate());
   } else {
-    std::printf("fuzz findings: FUZZ_corpus.json not found, skipping\n");
+    std::printf("fuzz findings: tests/data/FUZZ_corpus.json not found, skipping\n");
   }
 
   std::ofstream json("BENCH_fleetdiag.json");

@@ -15,7 +15,8 @@
 //       supervision-only baseline (identical scenario stream, repairs
 //       disabled): downtime per fault kind, repair rate, and
 //       recovery precision against injector ground truth — for a
-//       uniform draw and for the shipped FUZZ_corpus.json findings.
+//       uniform draw and for the findings in the tracked fixture
+//       tests/data/FUZZ_corpus.json.
 // Everything lands in BENCH_recovery.json.
 #include "bench_common.hpp"
 
@@ -53,17 +54,15 @@ namespace {
 
 std::string slot_name(std::size_t k) { return "tv" + std::to_string(k); }
 
+/// The tracked findings fixture the tests replay (the output of
+/// `fuzz_demo 2026 200`), resolved relative to this source file.
 std::string corpus_path() {
   std::string dir(__FILE__);
   const auto slash = dir.find_last_of('/');
   dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-  for (const std::string& candidate :
-       {dir + "/../FUZZ_corpus.json", std::string("FUZZ_corpus.json"),
-        std::string("../FUZZ_corpus.json")}) {
-    struct stat st{};
-    if (::stat(candidate.c_str(), &st) == 0 && st.st_size > 0) return candidate;
-  }
-  return "";
+  const std::string path = dir + "/../tests/data/FUZZ_corpus.json";
+  struct stat st{};
+  return ::stat(path.c_str(), &st) == 0 && st.st_size > 0 ? path : "";
 }
 
 // ------------------------------------------------ (a) live actuation
@@ -331,7 +330,7 @@ void report() {
                 findings.scenarios, findings.scored, findings.repaired,
                 findings.precision());
   } else {
-    std::printf("fuzz findings: FUZZ_corpus.json not found, skipping\n");
+    std::printf("fuzz findings: tests/data/FUZZ_corpus.json not found, skipping\n");
   }
 
   std::ofstream json("BENCH_recovery.json");

@@ -13,7 +13,8 @@
 #      corpus differential, and a seed-pinned smoke campaign (bounded
 #      iteration budget) that must replay byte-identically and leaves
 #      FUZZ_corpus.json (corpus + coverage map + minimized findings) in
-#      the repo root
+#      the repo root — a smoke artifact that no test reads (the tests
+#      replay the tracked fixture tests/data/FUZZ_corpus.json)
 #   6. ipc: the wire codec property tests plus the cross-transport
 #      campaign (in-process vs socketpair vs AF_UNIX, verdict for
 #      verdict) under ASan, including the SIGKILL/reconnect supervision
@@ -122,6 +123,10 @@ cmake --build build-asan -j "$JOBS" --target fuzz_test fuzz_demo
 # with CHECK_FUZZ_ITERS for a deeper sweep): the demo runs the same
 # campaign twice and exits nonzero unless the reruns are
 # byte-identical; it leaves the corpus + findings JSON in the repo root.
+# That file is a smoke artifact (5 findings at 120 iterations): the
+# tests read only the tracked tests/data/FUZZ_corpus.json, which is
+# `fuzz_demo 2026 200` and is regenerated with
+# `cd tests/data && ../../build/examples/fuzz_demo 2026 200`.
 ./build-asan/examples/fuzz_demo 2026 "${CHECK_FUZZ_ITERS:-120}" > FUZZ_report.txt
 grep -q 'byte-identical: yes' FUZZ_report.txt
 test -s FUZZ_corpus.json

@@ -15,10 +15,12 @@
 //
 // Scenarios come from two sources: the uniform draw_scenario() stream
 // (the E16 generator) and the minimized missed-detection findings the
-// coverage-guided fuzzer ships in FUZZ_corpus.json. Replaying findings
-// here closes a loop: scenarios where *detection* failed are exactly
-// where a ranked suspect list earns its keep, so each shipped finding
-// becomes a labeled diagnosis benchmark.
+// coverage-guided fuzzer ships in tests/data/FUZZ_corpus.json (its
+// default run; regenerate with
+// `cd tests/data && ../../build/examples/fuzz_demo 2026 200`).
+// Replaying findings here closes a loop: scenarios where *detection*
+// failed are exactly where a ranked suspect list earns its keep, so
+// each shipped finding becomes a labeled diagnosis benchmark.
 #pragma once
 
 #include <cstdint>

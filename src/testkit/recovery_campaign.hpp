@@ -24,8 +24,10 @@
 // action sequence, ladder rungs, repair times, report JSON — is
 // byte-reproducible per seed and identical at any shard count.
 // Scenarios come from uniform draws and from the fuzzer's minimized
-// FUZZ_corpus.json findings (the scenarios detection found hardest are
-// exactly where targeted recovery earns its keep).
+// findings in tests/data/FUZZ_corpus.json (regenerate with
+// `cd tests/data && ../../build/examples/fuzz_demo 2026 200`); the
+// scenarios detection found hardest are exactly where targeted
+// recovery earns its keep.
 #pragma once
 
 #include <cstdint>

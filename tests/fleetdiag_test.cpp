@@ -82,19 +82,16 @@ void expect_reports_equal(const diag::DiagnosisReport& a, const diag::DiagnosisR
   }
 }
 
-/// The shipped findings corpus at the repo root, resolved relative to
-/// this source file so tests work from any build directory.
+/// The tracked findings fixture (tests/data/FUZZ_corpus.json, the output
+/// of `fuzz_demo 2026 200`), resolved relative to this source file only,
+/// so a FUZZ_corpus.json left in the working directory is never read.
 std::string corpus_path() {
   std::string dir(__FILE__);
   const auto slash = dir.find_last_of('/');
   dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-  for (const std::string& candidate :
-       {dir + "/../FUZZ_corpus.json", std::string("FUZZ_corpus.json"),
-        std::string("../FUZZ_corpus.json"), std::string("../../FUZZ_corpus.json")}) {
-    struct stat st{};
-    if (::stat(candidate.c_str(), &st) == 0 && st.st_size > 0) return candidate;
-  }
-  return "";
+  const std::string path = dir + "/data/FUZZ_corpus.json";
+  struct stat st{};
+  return ::stat(path.c_str(), &st) == 0 && st.st_size > 0 ? path : "";
 }
 
 }  // namespace
@@ -597,7 +594,7 @@ TEST(FleetDiagCampaign, ShippedFuzzFindingsLocalizeTrueTargetInTopK) {
   // whenever its fault manifests spectrally, the true target must land
   // in the top-k suspects.
   const std::string path = corpus_path();
-  ASSERT_FALSE(path.empty()) << "FUZZ_corpus.json must ship at the repo root";
+  ASSERT_FALSE(path.empty()) << "tests/data/FUZZ_corpus.json must ship with the tests";
   const auto findings = tk::load_findings(path);
   ASSERT_FALSE(findings.empty()) << "corpus must contain replayable findings";
   for (const auto& f : findings) {

@@ -3,12 +3,15 @@
 // byte-identical corpus and report), coverage-map monotonicity and
 // prefix stability, miss-preserving minimization, corpus
 // growth-then-saturation over a long run, the novel-class claim (cells
-// the E16 uniform draw cannot reach), the injector overlap merge rule,
-// the resource-eater fault, and the cross-backend differential: a
-// fuzzer-discovered corpus replays verdict-for-verdict and
-// fingerprint-for-fingerprint on every IPC backend at 1/2/4 shards.
+// the E16 uniform draw cannot reach), the provenance of the tracked
+// findings fixture tests/data/FUZZ_corpus.json, the injector overlap
+// merge rule, the resource-eater fault, and the cross-backend
+// differential: a fuzzer-discovered corpus replays verdict-for-verdict
+// and fingerprint-for-fingerprint on every IPC backend at 1/2/4 shards.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -97,6 +100,27 @@ TEST(Fuzz, DifferentSeedDiverges) {
   const auto a = tk::FuzzCampaignRunner(small_fuzz(2026)).run();
   const auto b = tk::FuzzCampaignRunner(small_fuzz(2027)).run();
   EXPECT_NE(a.to_json(), b.to_json());
+}
+
+TEST(Fuzz, TrackedFindingsFixtureMatchesDefaultRun) {
+  // tests/data/FUZZ_corpus.json is what fuzz_demo writes with its
+  // defaults; the fleetdiag and recovery-loop tests replay its findings.
+  // Pin it to the fuzzer so the fixture cannot drift from its source.
+  std::string dir(__FILE__);
+  const auto slash = dir.find_last_of('/');
+  dir = slash == std::string::npos ? "." : dir.substr(0, slash);
+  const std::string path = dir + "/data/FUZZ_corpus.json";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << path << " not found";
+  const std::string tracked((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+
+  tk::FuzzConfig cfg;
+  cfg.seed = 2026;
+  cfg.iterations = 200;
+  EXPECT_TRUE(tk::FuzzCampaignRunner(cfg).run().to_json() == tracked)
+      << path << " differs from the fuzzer's seed-2026, 200-iteration run; "
+      << "regenerate it with: cd tests/data && ../../build/examples/fuzz_demo 2026 200";
 }
 
 // ------------------------------------------------------ coverage monotonicity

@@ -149,17 +149,16 @@ ipc::Frame spectrum_frame(std::uint32_t& seq, std::uint32_t block) {
   return f;
 }
 
+/// The tracked findings fixture (tests/data/FUZZ_corpus.json, the output
+/// of `fuzz_demo 2026 200`), resolved relative to this source file only,
+/// so a FUZZ_corpus.json left in the working directory is never read.
 std::string corpus_path() {
   std::string dir(__FILE__);
   const auto slash = dir.find_last_of('/');
   dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-  for (const std::string& candidate :
-       {dir + "/../FUZZ_corpus.json", std::string("FUZZ_corpus.json"),
-        std::string("../FUZZ_corpus.json"), std::string("../../FUZZ_corpus.json")}) {
-    struct stat st{};
-    if (::stat(candidate.c_str(), &st) == 0 && st.st_size > 0) return candidate;
-  }
-  return "";
+  const std::string path = dir + "/data/FUZZ_corpus.json";
+  struct stat st{};
+  return ::stat(path.c_str(), &st) == 0 && st.st_size > 0 ? path : "";
 }
 
 }  // namespace
@@ -554,7 +553,7 @@ TEST(RecoveryLoop, CampaignReportIsShardInvariant) {
 
 TEST(RecoveryLoop, FuzzFindingsAreRepairedWithPrecision) {
   const std::string path = corpus_path();
-  ASSERT_FALSE(path.empty()) << "shipped FUZZ_corpus.json not found";
+  ASSERT_FALSE(path.empty()) << "tests/data/FUZZ_corpus.json must ship with the tests";
   const auto findings = tk::load_findings(path);
   ASSERT_GE(findings.size(), 6u);
 
