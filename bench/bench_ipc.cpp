@@ -2,41 +2,30 @@
 //
 // The paper's awareness framework observes the SUO "with minimal
 // probe effect"; moving the SUO out of process trades shared-memory
-// observation for a wire. This bench quantifies that trade on the two
-// transports the repo ships:
-//   (a) frame throughput — how many observable-update frames per
-//       second one link carries (encode -> kernel stream -> decode);
-//   (b) lockstep round-trip time — the p50/p99 latency of one
-//       heartbeat exchange against a live SuoServer, the same exchange
-//       the RemoteSuoClient uses to advance virtual time.
-// Results land in BENCH_ipc.json for scripts/check.sh.
+// observation for a wire. This bench quantifies that trade as frame
+// throughput — how many observable-update frames per second one link
+// carries (encode -> kernel stream -> decode) — on an in-process
+// socketpair and on a genuine AF_UNIX listener/connect pair, the
+// socket kind every hub connection uses. Results land in
+// BENCH_ipc.json for scripts/check.sh.
 #include "bench_common.hpp"
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <thread>
 #include <vector>
 
-#include "ipc/remote_suo.hpp"
-#include "ipc/suo_server.hpp"
 #include "ipc/transport.hpp"
 #include "ipc/wire.hpp"
-#include "runtime/event_bus.hpp"
-#include "runtime/scheduler.hpp"
-#include "testkit/campaign.hpp"
 
 namespace rt = trader::runtime;
 namespace ipc = trader::ipc;
-namespace tk = trader::testkit;
 using trader::bench::Table;
 using trader::bench::banner;
 using trader::bench::fmt;
-using trader::bench::fmt_int;
 
 namespace {
 
@@ -57,12 +46,15 @@ ipc::Frame sample_output_frame() {
   return f;
 }
 
+/// The two kernel streams measured; the names are BENCH_ipc.json's
+/// "transport" values.
+enum class Transport { kSocketpair, kUnix };
+
+const char* to_string(Transport t) { return t == Transport::kSocketpair ? "socketpair" : "unix"; }
+
 /// Make one connected FramedSocket pair on the requested transport.
-/// Transports are named by the campaign backend registry
-/// (testkit::to_string), so BENCH_ipc.json rows and campaign reports
-/// can never label the same wire differently.
-std::pair<ipc::FramedSocket, ipc::FramedSocket> make_pair_on(tk::IpcMode transport) {
-  if (transport == tk::IpcMode::kSocketpair) return ipc::socketpair_transport();
+std::pair<ipc::FramedSocket, ipc::FramedSocket> make_pair_on(Transport transport) {
+  if (transport == Transport::kSocketpair) return ipc::socketpair_transport();
   const std::string path = "@trader-bench-ipc-" + std::to_string(::getpid());
   const int listener = ipc::listen_unix(path);
   const int client = ipc::connect_unix_retry(path, 2000);
@@ -77,7 +69,7 @@ struct ThroughputRun {
 };
 
 /// One writer thread floods frames; the main thread drains and counts.
-ThroughputRun run_throughput(tk::IpcMode transport, int frames) {
+ThroughputRun run_throughput(Transport transport, int frames) {
   auto [rx, tx] = make_pair_on(transport);
   const auto encoded_size = ipc::encode_frame(sample_output_frame()).size();
 
@@ -103,71 +95,19 @@ ThroughputRun run_throughput(tk::IpcMode transport, int frames) {
   return run;
 }
 
-struct RttRun {
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double mean_us = 0.0;
-};
-
-/// Heartbeat round-trips against a live SuoServer on a worker thread —
-/// the exact exchange that paces lockstep virtual-time advancement.
-RttRun run_rtt(tk::IpcMode transport, int rounds) {
-  auto [server_sock, client_sock] = make_pair_on(transport);
-  ipc::SuoServer server;
-  std::thread host([&server, s = std::move(server_sock)]() mutable { server.serve(s); });
-
-  rt::Scheduler sched;
-  rt::EventBus bus;
-  ipc::RemoteSuoClient client(sched, bus,
-                              [fd = client_sock.release(), used = std::make_shared<bool>(false)]() {
-                                if (*used) return -1;
-                                *used = true;
-                                return fd;
-                              });
-  client.initialize();
-  client.start(sched.now());
-
-  std::vector<double> samples_us;
-  samples_us.reserve(static_cast<std::size_t>(rounds));
-  for (int i = 0; i < rounds; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    client.heartbeat();
-    const auto t1 = std::chrono::steady_clock::now();
-    samples_us.push_back(
-        std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(t1 - t0).count());
-  }
-  client.shutdown_remote();
-  host.join();
-
-  std::sort(samples_us.begin(), samples_us.end());
-  RttRun run;
-  run.p50_us = samples_us[samples_us.size() / 2];
-  run.p99_us = samples_us[samples_us.size() * 99 / 100];
-  double sum = 0.0;
-  for (const double s : samples_us) sum += s;
-  run.mean_us = sum / static_cast<double>(samples_us.size());
-  return run;
-}
-
 void report() {
   banner("E16", "the cost of the process boundary (out-of-process SUO)");
 
   const int frames = 200000;
-  const int rounds = 2000;
-  const std::vector<tk::IpcMode> transports{tk::IpcMode::kSocketpair, tk::IpcMode::kUnix};
+  const std::vector<Transport> transports{Transport::kSocketpair, Transport::kUnix};
 
   std::vector<ThroughputRun> tputs;
-  std::vector<RttRun> rtts;
-  for (const auto& t : transports) {
-    tputs.push_back(run_throughput(t, frames));
-    rtts.push_back(run_rtt(t, rounds));
-  }
+  for (const auto& t : transports) tputs.push_back(run_throughput(t, frames));
 
-  Table t({"transport", "frames/sec", "MB/sec", "rtt p50 us", "rtt p99 us", "rtt mean us"});
+  Table t({"transport", "frames/sec", "MB/sec"});
   for (std::size_t i = 0; i < transports.size(); ++i) {
-    t.row({tk::to_string(transports[i]), fmt(tputs[i].frames_per_sec, 0),
-           fmt(tputs[i].mb_per_sec, 1),
-           fmt(rtts[i].p50_us, 1), fmt(rtts[i].p99_us, 1), fmt(rtts[i].mean_us, 1)});
+    t.row({to_string(transports[i]), fmt(tputs[i].frames_per_sec, 0),
+           fmt(tputs[i].mb_per_sec, 1)});
   }
   t.print();
   std::printf("every observable update crosses this wire once; a 50 Hz TV emitting ~10\n"
@@ -176,19 +116,16 @@ void report() {
 
   std::ofstream json("BENCH_ipc.json");
   json << "{\n  \"experiment\": \"bench_ipc\",\n";
-  json << "  \"frames\": " << frames << ",\n  \"rtt_rounds\": " << rounds << ",\n";
+  json << "  \"frames\": " << frames << ",\n";
   json << "  \"transports\": [\n";
   for (std::size_t i = 0; i < transports.size(); ++i) {
-    json << "    {\"transport\": \"" << tk::to_string(transports[i]) << "\""
+    json << "    {\"transport\": \"" << to_string(transports[i]) << "\""
          << ", \"frames_per_sec\": " << fmt(tputs[i].frames_per_sec, 0)
-         << ", \"mb_per_sec\": " << fmt(tputs[i].mb_per_sec, 2)
-         << ", \"rtt_p50_us\": " << fmt(rtts[i].p50_us, 2)
-         << ", \"rtt_p99_us\": " << fmt(rtts[i].p99_us, 2)
-         << ", \"rtt_mean_us\": " << fmt(rtts[i].mean_us, 2) << "}"
+         << ", \"mb_per_sec\": " << fmt(tputs[i].mb_per_sec, 2) << "}"
          << (i + 1 < transports.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
-  std::printf("wrote BENCH_ipc.json (throughput + RTT per transport)\n");
+  std::printf("wrote BENCH_ipc.json (throughput per transport)\n");
 }
 
 // ------------------------------------------------------- microbenchmarks

@@ -15,14 +15,15 @@
 #      FUZZ_corpus.json (corpus + coverage map + minimized findings) in
 #      the repo root — a smoke artifact that no test reads (the tests
 #      replay the tracked fixture tests/data/FUZZ_corpus.json)
-#   6. ipc: the wire codec property tests plus the cross-transport
-#      campaign (in-process vs socketpair vs AF_UNIX, verdict for
-#      verdict) under ASan, including the SIGKILL/reconnect supervision
-#      test — the whole out-of-process SUO path with leak checking on
+#   6. ipc: the wire codec property tests (round-trip, truncation,
+#      bit-flip, reserved type bytes), the framed socket transport and
+#      the supervision state machine under ASan
 #   7. hub: the epoll event loop (timer catch-up, backpressure, accept
-#      storm, crash-loop backoff) under ASan, plus the multi-SUO
-#      campaign through the hub under TSan (the loop thread vs fleet
-#      shard threads share the scored path)
+#      storm, crash-loop backoff), the version-mismatch handshake, the
+#      SIGKILLed-publisher supervision test and the cross-backend
+#      campaign under ASan, plus the multi-SUO campaign through the hub
+#      under TSan (the loop thread vs fleet shard threads share the
+#      scored path)
 #   8. fleetdiag: fleet-level online diagnosis under ASan (reporter
 #      chunking, online-vs-offline ranking equivalence over real
 #      sockets, slot lifecycle, fuzz-findings replay) and TSan
@@ -51,7 +52,7 @@
 #  12. bench_scale scaling experiment, leaving BENCH_scale.json in the
 #      repo root (per-shard-count throughput + merged metrics snapshot)
 #  13. bench_ipc transport experiment, leaving BENCH_ipc.json in the
-#      repo root (frames/sec + RTT percentiles per transport)
+#      repo root (frames/sec + MB/sec per kernel stream transport)
 #  14. bench_hub fleet-ingest experiment, leaving BENCH_hub.json in the
 #      repo root (frames/sec + ingest latency vs connection count)
 #  15. bench_fuzz fuzzing experiment, leaving BENCH_fuzz.json in the
@@ -133,19 +134,22 @@ test -s FUZZ_corpus.json
 echo "fuzz headline:"
 grep -E 'corpus:|detection floor' FUZZ_report.txt
 
-stage "ipc: codec properties + cross-transport campaign under ASan"
+stage "ipc: codec properties + transport + supervisor under ASan"
 cmake --build build-asan -j "$JOBS" --target ipc_test
-# Wire-level fuzzing (round-trip, truncation, bit-flip) and the
-# 20-scenario campaign that must match the in-process backend verdict
-# for verdict over a real AF_UNIX socket, plus kill -9 supervision.
+# Wire-level fuzzing (round-trip, truncation, bit-flip, reserved type
+# bytes), the framed socket transport and the supervision state
+# machine. The cross-transport campaign and kill -9 supervision run
+# through the hub in the next stage.
 ./build-asan/tests/ipc_test \
-  --gtest_filter='IpcWire.*:IpcCampaign.*:IpcSupervision.*'
+  --gtest_filter='IpcWire.*:IpcTransport.*:IpcSupervisor.*'
 
 stage "hub: epoll loop + multi-SUO campaign under ASan and TSan"
 cmake --build build-asan -j "$JOBS" --target hub_test
 # The whole suite under ASan: event-loop timer semantics (fixed-rate
-# catch-up), backpressure eviction, accept storm, crash-loop backoff,
-# liveness accounting and the 8-SUO differential campaign.
+# catch-up), backpressure eviction, accept storm, version-mismatch
+# handshake, crash-loop backoff, liveness accounting, the SIGKILLed
+# publisher (fork + kill -9 + reattach) and the 8-SUO differential
+# campaign.
 ./build-asan/tests/hub_test
 # Under TSan the loop thread coexists with fleet shard threads and the
 # publisher test thread — the scored hub campaign must stay race-free.

@@ -1,8 +1,7 @@
 // HubPublisher: the SUO side of a hub link.
 //
-// Where src/ipc's SuoServer *answers* a monitor that drives virtual
-// time in lockstep, a hub publisher *pushes*: it hosts its own
-// simulated TV, connects out to the AwarenessHub, claims a slot with
+// A hub publisher *pushes*: it hosts its own simulated TV and its own
+// virtual clock, connects out to the AwarenessHub, claims a slot with
 // kHello, and streams every tv.input / tv.output event as a frame
 // while answering the hub's liveness probes. This is the ArVI-style
 // topology — many instrumented systems feeding one central monitor —
@@ -10,7 +9,8 @@
 // fleet, just "send what you observe, answer pings, say goodbye".
 //
 // run_hub_publisher() is the whole child-process body used by the
-// hub_host example (fork per SUO) and by in-process test threads.
+// hub_host example (fork per SUO), by the forked SIGKILL test and by
+// in-process test threads.
 #pragma once
 
 #include <cstdint>

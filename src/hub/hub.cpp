@@ -265,7 +265,7 @@ void AwarenessHub::on_frame(Peer* peer, const ipc::Frame& f) {
       peer->conn->close(CloseReason::kPeerClosed);
       break;
     default:
-      // kHello after handshake, kControl/kControlAck toward the hub:
+      // kHello after handshake, kHelloAck / kRecover toward the hub:
       // protocol violations on this link direction.
       reject(peer, std::string("unexpected ") + ipc::to_string(f.type));
       break;

@@ -1,12 +1,11 @@
 // Framed socket transport for the SUO link.
 //
 // Two deployment shapes, one code path:
-//   * AF_UNIX filesystem sockets — the paper's real process boundary
-//     (suo_host in one process, the monitor in another);
+//   * AF_UNIX sockets — the paper's real process boundary (hub
+//     publishers in their own processes, the AwarenessHub in another);
 //   * socketpair(AF_UNIX) — both ends in one process, so tier-1 tests
-//     and the testkit's IPC campaign backend stay hermetic and fast
-//     while still exercising the real kernel stream path and the full
-//     encode/decode machinery.
+//     and benches stay hermetic and fast while still exercising the
+//     real kernel stream path and the full encode/decode machinery.
 //
 // FramedSocket owns the fd, speaks whole frames (wire.hpp), and mirrors
 // its traffic into "ipc.*" metrics: frames/bytes in both directions
@@ -67,7 +66,7 @@ class FramedSocket {
   int fd() const { return fd_; }
 
   /// Relinquish ownership of the fd without closing it (handing a
-  /// pre-connected socket to a RemoteSuoClient connector).
+  /// handshaken socket to a nonblocking writer).
   int release() {
     const int fd = fd_;
     fd_ = -1;
@@ -128,7 +127,7 @@ int accept_unix(int listen_fd, int timeout_ms);
 int connect_unix(const std::string& path);
 
 /// Connect with retries until `timeout_ms` elapses — covers the race
-/// between spawning a suo_host and its listener coming up.
+/// between starting a hub and its listener coming up.
 int connect_unix_retry(const std::string& path, int timeout_ms);
 
 /// Remove a filesystem socket path (no-op for abstract '@' paths).

@@ -166,9 +166,13 @@ bool read_event(Reader& r, runtime::Event& ev) {
   return !r.fail;
 }
 
+/// Type bytes 5 and 6 are reserved (see FrameType): they fall in the
+/// gap between the event and liveness ranges and fail closed.
 bool known_type(std::uint8_t t) {
-  return t >= static_cast<std::uint8_t>(FrameType::kHello) &&
-         t <= static_cast<std::uint8_t>(FrameType::kRecoverAck);
+  return (t >= static_cast<std::uint8_t>(FrameType::kHello) &&
+          t <= static_cast<std::uint8_t>(FrameType::kOutputEvent)) ||
+         (t >= static_cast<std::uint8_t>(FrameType::kHeartbeat) &&
+          t <= static_cast<std::uint8_t>(FrameType::kRecoverAck));
 }
 
 /// Recovery actions are strict: give-up (4) is a hub-local verdict and
@@ -236,25 +240,6 @@ bool decode_payload(FrameType type, const std::uint8_t* p, std::size_t n, Frame&
       // publisher's virtual clock (watermarks, auto-advance).
       out.event.timestamp = out.time;
       break;
-    case FrameType::kControl: {
-      out.command = r.str();
-      const std::uint32_t argc = r.u32();
-      if (r.fail || argc > kMaxFramePayload) return false;
-      for (std::uint32_t i = 0; i < argc && !r.fail; ++i) {
-        std::string key = r.str();
-        runtime::Value value = r.value();
-        if (!r.fail) out.args.emplace(std::move(key), std::move(value));
-      }
-      break;
-    }
-    case FrameType::kControlAck: {
-      out.command = r.str();
-      const std::uint8_t ok = r.u8();
-      if (ok > 1) return false;
-      out.ok = ok == 1;
-      out.detail = r.str();
-      break;
-    }
     case FrameType::kHeartbeat:
     case FrameType::kHeartbeatAck:
       out.nonce = r.u64();
@@ -299,10 +284,6 @@ const char* to_string(FrameType t) {
       return "input-event";
     case FrameType::kOutputEvent:
       return "output-event";
-    case FrameType::kControl:
-      return "control";
-    case FrameType::kControlAck:
-      return "control-ack";
     case FrameType::kHeartbeat:
       return "heartbeat";
     case FrameType::kHeartbeatAck:
@@ -364,19 +345,6 @@ std::vector<std::uint8_t> encode_frame(const Frame& f) {
     case FrameType::kInputEvent:
     case FrameType::kOutputEvent:
       put_event(payload, f.event);
-      break;
-    case FrameType::kControl:
-      put_str(payload, f.command);
-      put_u32(payload, static_cast<std::uint32_t>(f.args.size()));
-      for (const auto& [key, value] : f.args) {
-        put_str(payload, key);
-        put_value(payload, value);
-      }
-      break;
-    case FrameType::kControlAck:
-      put_str(payload, f.command);
-      put_u8(payload, f.ok ? 1 : 0);
-      put_str(payload, f.detail);
       break;
     case FrameType::kHeartbeat:
     case FrameType::kHeartbeatAck:

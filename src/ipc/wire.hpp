@@ -35,7 +35,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -60,20 +59,22 @@ inline constexpr std::size_t kHeaderSize = 28;
 /// before any allocation happens (flood protection).
 inline constexpr std::size_t kMaxFramePayload = 64 * 1024;
 
-/// Frame taxonomy of the SUO link.
+/// Frame taxonomy of the SUO link. Values are explicit because they are
+/// the on-wire type byte and the journal's record of it. 5 and 6 are
+/// reserved: older peers used them for a retired control frame pair, so
+/// they must not be reused; they decode as kBadType like any unknown
+/// type.
 enum class FrameType : std::uint8_t {
-  kHello = 1,      ///< Client -> server: version range + peer name.
-  kHelloAck,       ///< Server -> client: negotiated version.
-  kInputEvent,     ///< SUO input event (user action observed).
-  kOutputEvent,    ///< SUO observable update.
-  kControl,        ///< Control / recovery command toward the SUO.
-  kControlAck,     ///< Command completion (the lockstep sync point).
-  kHeartbeat,      ///< Liveness probe (client -> server).
-  kHeartbeatAck,   ///< Liveness echo (server -> client).
-  kShutdown,       ///< Orderly teardown or handshake rejection.
-  kSpectrum,       ///< SUO -> hub: batched SFL spectra (since v2).
-  kRecover,        ///< Hub -> SUO: targeted recovery command (since v3).
-  kRecoverAck,     ///< SUO -> hub: recovery outcome (since v3).
+  kHello = 1,         ///< Client -> server: version range + peer name.
+  kHelloAck = 2,      ///< Server -> client: negotiated version.
+  kInputEvent = 3,    ///< SUO input event (user action observed).
+  kOutputEvent = 4,   ///< SUO observable update.
+  kHeartbeat = 7,     ///< Liveness probe.
+  kHeartbeatAck = 8,  ///< Liveness echo.
+  kShutdown = 9,      ///< Orderly teardown or handshake rejection.
+  kSpectrum = 10,     ///< SUO -> hub: batched SFL spectra (since v2).
+  kRecover = 11,      ///< Hub -> SUO: targeted recovery command (since v3).
+  kRecoverAck = 12,   ///< SUO -> hub: recovery outcome (since v3).
 };
 
 const char* to_string(FrameType t);
@@ -121,9 +122,7 @@ struct Frame {
   runtime::SimTime time = 0;
 
   runtime::Event event;                           ///< kInputEvent / kOutputEvent.
-  std::string command;                            ///< kControl / kControlAck.
-  std::map<std::string, runtime::Value> args;     ///< kControl arguments.
-  bool ok = true;                                 ///< kControlAck status.
+  bool ok = true;                                 ///< kRecoverAck status.
   std::string detail;                             ///< Ack detail / hello peer / shutdown reason.
   std::uint8_t min_version = kMinProtocolVersion; ///< kHello / kHelloAck.
   std::uint8_t max_version = kProtocolVersion;    ///< kHello / kHelloAck.

@@ -1,7 +1,5 @@
 #include "testkit/campaign.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -17,7 +15,6 @@
 #include "faults/injector.hpp"
 #include "hub/hub.hpp"
 #include "ipc/link_gate.hpp"
-#include "ipc/supervisor.hpp"
 #include "ipc/transport.hpp"
 #include "runtime/event_bus.hpp"
 #include "runtime/scheduler.hpp"
@@ -50,9 +47,9 @@ core::MonitorBuilder counter_monitor(std::size_t k, const ExecutorConfig& config
   } else {
     builder.model(std::make_unique<core::InterpretedModel>(counter_model()));
   }
-  // With an IPC link in the path the model is wrapped in a LinkGatedModel
-  // so comparisons quiesce while the SUO is unreachable (the §4.3
-  // graceful-degradation policy); a null gate means in-process wiring.
+  // The model is wrapped in a LinkGatedModel so comparisons quiesce
+  // while the SUO link — virtual in process, a hub slot otherwise — is
+  // down (the §4.3 graceful-degradation policy).
   if (gate != nullptr) {
     builder.wrap_model(
         [gate = std::move(gate)](std::unique_ptr<core::IModelImpl> model)
@@ -83,16 +80,12 @@ class Backend {
   virtual std::vector<core::AspectError> errors() const = 0;
   virtual const core::ComparatorStats& stats(const std::string& aspect) = 0;
   virtual runtime::MetricsSnapshot metrics() const = 0;
-  /// Comparison gate shared with the models (IPC backends only).
-  virtual std::shared_ptr<const std::atomic<bool>> gate() const { return nullptr; }
-  /// Per-aspect comparison gate; the hub backend gates each slot
-  /// independently, the single-link IPC backend shares one gate.
-  virtual std::shared_ptr<const std::atomic<bool>> gate_for(const std::string& aspect) {
-    (void)aspect;
-    return gate();
-  }
-  /// Tear down / re-establish the SUO link (IPC backends only).
-  virtual void set_link(bool up) { (void)up; }
+  /// Per-aspect comparison gate shared with the models. The in-process
+  /// backends share one virtual-link gate; the hub backend gates each
+  /// slot independently.
+  virtual std::shared_ptr<const std::atomic<bool>> gate_for(const std::string& aspect) = 0;
+  /// Tear down / re-establish the SUO link.
+  virtual void set_link(bool up) = 0;
 };
 
 void sort_errors(std::vector<core::AspectError>& errs) {
@@ -103,19 +96,32 @@ void sort_errors(std::vector<core::AspectError>& errs) {
                    });
 }
 
-// The in-process backends carry a *virtual* SUO link: the same shared
-// gate the IPC backends flip on a real socket teardown, minus the
-// socket. set_link(false) drops every publish and quiesces comparators
-// through LinkGatedModel, so a kill-restart scenario fingerprints
-// identically whether the SUO is a struct in this process or a peer
-// behind a kernel stream — which is what lets the fuzzer's outage
-// mutations run on the fast backend and still replay differentially.
-class SingleBackend : public Backend {
+// The in-process backends carry a *virtual* SUO link: the same kind of
+// gate the hub flips on a real socket teardown, minus the socket.
+// set_link(false) drops every publish and quiesces comparators through
+// LinkGatedModel, so a kill-restart scenario fingerprints identically
+// whether the SUO is a struct in this process or a peer behind a
+// kernel stream — which is what lets the fuzzer's outage mutations run
+// on the fast backend and still replay differentially.
+class VirtualLinkBackend : public Backend {
  public:
-  SingleBackend() : fleet_(sched_, bus_) {
-    fleet_.set_metrics(&metrics_);
-    gate_ = std::make_shared<std::atomic<bool>>(true);
+  std::shared_ptr<const std::atomic<bool>> gate_for(const std::string&) override {
+    return gate_;
   }
+  // The driver only flips the link between run_until epochs, so the
+  // relaxed store is ordered against shard threads by the epoch barrier.
+  void set_link(bool up) override { gate_->store(up, std::memory_order_relaxed); }
+
+ protected:
+  bool link_up() const { return gate_->load(std::memory_order_relaxed); }
+
+ private:
+  std::shared_ptr<std::atomic<bool>> gate_ = std::make_shared<std::atomic<bool>>(true);
+};
+
+class SingleBackend : public VirtualLinkBackend {
+ public:
+  SingleBackend() : fleet_(sched_, bus_) { fleet_.set_metrics(&metrics_); }
 
   void add_monitor(const std::string& aspect, core::MonitorBuilder builder) override {
     fleet_.add_monitor(aspect, std::move(builder));
@@ -124,7 +130,7 @@ class SingleBackend : public Backend {
   void stop() override { fleet_.stop(); }
   void run_until(runtime::SimTime t) override { sched_.run_until(t); }
   void publish(const runtime::Event& ev) override {
-    if (!gate_->load(std::memory_order_relaxed)) return;  // SUO unreachable
+    if (!link_up()) return;  // SUO unreachable
     runtime::Event stamped = ev;
     stamped.timestamp = sched_.now();
     bus_.publish(stamped);
@@ -138,23 +144,18 @@ class SingleBackend : public Backend {
     return fleet_.monitor(aspect).stats();
   }
   runtime::MetricsSnapshot metrics() const override { return metrics_.snapshot(); }
-  std::shared_ptr<const std::atomic<bool>> gate() const override { return gate_; }
-  void set_link(bool up) override { gate_->store(up, std::memory_order_relaxed); }
 
  private:
   runtime::Scheduler sched_;
   runtime::EventBus bus_;
   runtime::MetricsRegistry metrics_;
   core::MonitorFleet fleet_;
-  std::shared_ptr<std::atomic<bool>> gate_;
 };
 
-class ShardedBackend : public Backend {
+class ShardedBackend : public VirtualLinkBackend {
  public:
   explicit ShardedBackend(const ExecutorConfig& config)
-      : fleet_(core::ShardedFleetConfig{config.shards, config.epoch, config.seed}) {
-    gate_ = std::make_shared<std::atomic<bool>>(true);
-  }
+      : fleet_(core::ShardedFleetConfig{config.shards, config.epoch, config.seed}) {}
 
   void add_monitor(const std::string& aspect, core::MonitorBuilder builder) override {
     fleet_.add_monitor(aspect, std::move(builder));
@@ -163,7 +164,7 @@ class ShardedBackend : public Backend {
   void stop() override { fleet_.stop(); }
   void run_until(runtime::SimTime t) override { fleet_.run_until(t); }
   void publish(const runtime::Event& ev) override {
-    if (!gate_->load(std::memory_order_relaxed)) return;  // SUO unreachable
+    if (!link_up()) return;  // SUO unreachable
     fleet_.publish(ev);
   }
   std::vector<core::AspectError> errors() const override { return fleet_.errors(); }
@@ -171,139 +172,9 @@ class ShardedBackend : public Backend {
     return fleet_.monitor(aspect).stats();
   }
   runtime::MetricsSnapshot metrics() const override { return fleet_.metrics(); }
-  std::shared_ptr<const std::atomic<bool>> gate() const override { return gate_; }
-  // The driver only flips the link between run_until epochs, so the
-  // relaxed store is ordered against shard threads by the epoch barrier.
-  void set_link(bool up) override { gate_->store(up, std::memory_order_relaxed); }
 
  private:
   core::ShardedFleet fleet_;
-  std::shared_ptr<std::atomic<bool>> gate_;
-};
-
-// The IPC backend puts the real wire in the campaign's SUO-to-monitor
-// path: every scripted event is encoded, sent through a kernel stream
-// socket (socketpair or a genuine AF_UNIX listener), received, decoded,
-// and only then republished onto the monitor fleet's bus. Events carry
-// virtual timestamps and each publish pumps its frame synchronously, so
-// verdicts and golden traces are identical to the in-process backend —
-// which is exactly the equivalence the tier-1 suite asserts.
-class IpcBackend : public Backend {
- public:
-  /// Strategy producing a connected (SUO side, monitor side) stream
-  /// pair — the ONLY transport-specific piece. Each registered IPC mode
-  /// supplies its own factory, so a new transport is one registration
-  /// instead of `if (mode == ...)` edits across ctor/set_link/dtor.
-  using StreamPair = std::pair<ipc::FramedSocket, ipc::FramedSocket>;
-  using PairFactory = std::function<StreamPair()>;
-
-  IpcBackend(const ExecutorConfig& config, PairFactory make_pair)
-      : make_pair_(std::move(make_pair)), fleet_(sched_, bus_) {
-    (void)config;
-    fleet_.set_metrics(&metrics_);
-    supervisor_.set_metrics(&metrics_);
-    gate_ = std::make_shared<std::atomic<bool>>(false);
-    set_link(true);
-  }
-
-  void add_monitor(const std::string& aspect, core::MonitorBuilder builder) override {
-    fleet_.add_monitor(aspect, std::move(builder));
-  }
-  void start() override { fleet_.start(); }
-  void stop() override { fleet_.stop(); }
-  void run_until(runtime::SimTime t) override { sched_.run_until(t); }
-
-  void publish(const runtime::Event& ev) override {
-    if (!gate_->load(std::memory_order_relaxed)) return;  // SUO unreachable
-    ipc::Frame f;
-    f.type = ev.topic.rfind("in.", 0) == 0 ? ipc::FrameType::kInputEvent
-                                           : ipc::FrameType::kOutputEvent;
-    f.seq = ++seq_;
-    f.time = sched_.now();
-    f.event = ev;
-    if (!suo_side_.send(f)) {
-      set_link(false);
-      return;
-    }
-    // Synchronous pump: the frame we just sent comes back out of the
-    // kernel before the driver moves on, preserving SingleBackend's
-    // publish-then-deliver ordering exactly.
-    ipc::Frame in;
-    if (monitor_side_.recv(in, /*timeout_ms=*/2000) != ipc::FramedSocket::RecvStatus::kFrame) {
-      set_link(false);
-      return;
-    }
-    runtime::Event stamped = in.event;
-    stamped.timestamp = sched_.now();
-    bus_.publish(stamped);
-  }
-
-  std::vector<core::AspectError> errors() const override {
-    auto errs = fleet_.errors();
-    sort_errors(errs);
-    return errs;
-  }
-  const core::ComparatorStats& stats(const std::string& aspect) override {
-    return fleet_.monitor(aspect).stats();
-  }
-  runtime::MetricsSnapshot metrics() const override { return metrics_.snapshot(); }
-  std::shared_ptr<const std::atomic<bool>> gate() const override { return gate_; }
-
-  void set_link(bool up) override {
-    if (up == gate_->load(std::memory_order_relaxed)) return;
-    if (!up) {
-      suo_side_.close();
-      monitor_side_.close();
-      supervisor_.on_disconnected();
-      gate_->store(false, std::memory_order_relaxed);
-      return;
-    }
-    supervisor_.next_backoff_ms();  // the reconnect attempt (no wall sleep here)
-    auto [a, b] = make_pair_();
-    suo_side_ = std::move(a);
-    monitor_side_ = std::move(b);
-    suo_side_.set_metrics(&metrics_);
-    monitor_side_.set_metrics(&metrics_);
-    if (suo_side_.valid() && monitor_side_.valid()) {
-      supervisor_.on_connected();
-      gate_->store(true, std::memory_order_relaxed);
-    }
-  }
-
- private:
-  PairFactory make_pair_;
-  runtime::Scheduler sched_;
-  runtime::EventBus bus_;
-  runtime::MetricsRegistry metrics_;
-  core::MonitorFleet fleet_;
-  ipc::ProcessSupervisor supervisor_;
-  ipc::FramedSocket suo_side_;      ///< Scripted SUO writes here.
-  ipc::FramedSocket monitor_side_;  ///< Fleet-facing end; pumped per publish.
-  std::shared_ptr<std::atomic<bool>> gate_;
-  std::uint32_t seq_ = 0;
-};
-
-/// One AF_UNIX listener (abstract namespace: no filesystem entry,
-/// kernel-cleaned) shared by every reconnect of one backend instance.
-struct UnixEndpoint {
-  std::string path;
-  int listener = -1;
-
-  UnixEndpoint() {
-    static std::atomic<std::uint64_t> instance{0};
-    path = "@trader-campaign-" + std::to_string(::getpid()) + "-" +
-           std::to_string(instance.fetch_add(1));
-    listener = ipc::listen_unix(path);
-  }
-  ~UnixEndpoint() {
-    if (listener >= 0) ::close(listener);
-  }
-
-  IpcBackend::StreamPair make_pair() {
-    const int client = ipc::connect_unix(path);
-    const int server = ipc::accept_unix(listener, /*timeout_ms=*/2000);
-    return {ipc::FramedSocket(client), ipc::FramedSocket(server)};
-  }
 };
 
 // The hub backend runs the full fleet-over-sockets topology inside the
@@ -453,20 +324,6 @@ const std::map<IpcMode, BackendEntry>& backend_registry() {
         [](const ExecutorConfig& config) -> std::unique_ptr<Backend> {
           if (config.shards == 0) return std::make_unique<SingleBackend>();
           return std::make_unique<ShardedBackend>(config);
-        }}},
-      {IpcMode::kSocketpair,
-       {"socketpair",
-        [](const ExecutorConfig& config) -> std::unique_ptr<Backend> {
-          return std::make_unique<IpcBackend>(config, [] {
-            return IpcBackend::StreamPair{ipc::socketpair_transport()};
-          });
-        }}},
-      {IpcMode::kUnix,
-       {"unix",
-        [](const ExecutorConfig& config) -> std::unique_ptr<Backend> {
-          auto endpoint = std::make_shared<UnixEndpoint>();
-          return std::make_unique<IpcBackend>(
-              config, [endpoint] { return endpoint->make_pair(); });
         }}},
       {IpcMode::kHub,
        {"hub",

@@ -52,13 +52,11 @@ const char* to_string(Verdict v);
 Verdict classify_verdict(bool manifested, std::size_t errors_on_target,
                          std::size_t errors_off_target);
 
-/// Transport between the scripted SUO and the monitors (src/ipc, src/hub).
+/// Transport between the scripted SUO and the monitors (src/hub).
 enum class IpcMode : std::uint8_t {
-  kOff,         ///< Events go straight onto the backend bus (no IPC).
-  kSocketpair,  ///< Real kernel stream via socketpair(AF_UNIX) — hermetic.
-  kUnix,        ///< Real AF_UNIX listener/connect (abstract namespace).
-  kHub,         ///< AwarenessHub epoll loop: one AF_UNIX connection per
-                ///< aspect into one event loop feeding a sharded fleet.
+  kOff,  ///< Events go straight onto the backend bus (no IPC).
+  kHub,  ///< AwarenessHub epoll loop: one AF_UNIX connection per
+         ///< aspect into one event loop feeding a sharded fleet.
 };
 
 /// Canonical backend name, read from the backend registry — the same
@@ -82,8 +80,7 @@ struct ExecutorConfig {
   runtime::SimDuration startup_grace = runtime::msec(5);
   int max_consecutive = 2;
   recovery::EscalationConfig escalation;
-  /// Push every SUO event through the wire protocol over a real socket.
-  /// kSocketpair/kUnix wrap the single-scheduler fleet (shards == 0);
+  /// Push every SUO event through the wire protocol over a real socket:
   /// kHub multiplexes one connection per aspect through the epoll hub
   /// into a ShardedFleet (`shards` counts, 0 = 1). Verdicts and golden
   /// traces stay identical to IpcMode::kOff because events carry

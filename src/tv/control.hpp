@@ -70,7 +70,7 @@ enum ControlBlock : int {
   kBlkSourceFromDual,
   kBlkExternalSourceSwallow,
   kBlkTick,
-  kControlBlockCount,
+  kBlkCount,
 };
 
 /// User-visible screen contents as the control unit believes them.

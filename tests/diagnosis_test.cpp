@@ -307,7 +307,7 @@ TEST(Sfl, LocalizesFaultyHandlerInTvControl) {
   // teletext-enter block must rank at the top.
   auto lineup = tv::ChannelLineup::standard_lineup(40);
   tv::TvControl control(lineup);
-  obs::BlockCoverageRecorder cov(tv::kControlBlockCount);
+  obs::BlockCoverageRecorder cov(tv::kBlkCount);
   bool ttx_ran = false;
   control.set_block_hook([&](int b) {
     cov.hit(static_cast<std::size_t>(b));

@@ -437,7 +437,7 @@ TEST(ClosedLoop, DetectRecordReplayDiagnoseRecover) {
   injector2.schedule(flt::FaultSpec{flt::FaultKind::kMessageLoss, "cmd.audio", rt::msec(600),
                                     rt::msec(300), 1.0, {}});
   tv::TvSystem set2(sched2, bus2, injector2);
-  trader::observation::BlockCoverageRecorder coverage(tv::kControlBlockCount);
+  trader::observation::BlockCoverageRecorder coverage(tv::kBlkCount);
   set2.control_mut().set_block_hook([&](int b) { coverage.hit(static_cast<std::size_t>(b)); });
   set2.start();
 

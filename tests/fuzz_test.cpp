@@ -325,16 +325,15 @@ TEST(ResourceEater, DeferredProcessingIsDetectedAndDrains) {
 
 // A fuzzer-discovered corpus is only a corpus if it replays everywhere:
 // every entry must reproduce its verdict and its exact golden-trace
-// fingerprint on each IPC backend (socketpair, AF_UNIX, epoll hub) at
-// 1, 2 and 4 shards. The kOff run that built the corpus is the
-// reference; composed faults, outage windows and resource eaters are
-// all represented in the first 20 entries.
+// fingerprint on the in-process sharded fleet and through the epoll
+// hub, at 1, 2 and 4 shards. The single-scheduler kOff run that built
+// the corpus is the reference; composed faults, outage windows and
+// resource eaters are all represented in the first 20 entries.
 TEST(FuzzDifferential, CorpusReplaysAcrossBackendsAndShards) {
   const auto report = tk::FuzzCampaignRunner(small_fuzz(2026, 60)).run();
   ASSERT_GE(report.corpus.size(), 20u);
 
-  for (const tk::IpcMode mode :
-       {tk::IpcMode::kSocketpair, tk::IpcMode::kUnix, tk::IpcMode::kHub}) {
+  for (const tk::IpcMode mode : {tk::IpcMode::kOff, tk::IpcMode::kHub}) {
     for (const std::size_t shards : {1u, 2u, 4u}) {
       tk::ExecutorConfig cfg;
       cfg.ipc = mode;

@@ -1,14 +1,16 @@
 // Tests for src/hub: the epoll EventLoop (timer semantics including
 // fixed-rate catch-up after a stalled iteration, cross-thread wake),
 // HubConnection backpressure policy, the AwarenessHub slot handshake
-// (accept / unknown / busy / backoff rejection), accept storms,
-// hub-driven liveness eviction with exactly-one-outage accounting, the
-// publisher agent end to end, and the campaign differential gate: a
-// multi-SUO campaign through the hub must match the in-process and
-// per-monitor-socket backends verdict for verdict and fingerprint for
-// fingerprint.
+// (accept / unknown / busy / version / backoff rejection), accept
+// storms, hub-driven liveness eviction with exactly-one-outage
+// accounting, the publisher agent end to end — in a thread and as a
+// forked process killed with SIGKILL — and the campaign differential
+// gate: a multi-SUO campaign through the hub must match the in-process
+// backends verdict for verdict and fingerprint for fingerprint.
+#include <signal.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -259,6 +261,42 @@ TEST(HubTest, HandshakeRejectsUnknownAndBusySlots) {
   awareness_hub.stop();
 }
 
+// A peer whose [min,max] range shares no version with the hub's is
+// refused before it can claim anything: the unclaimed slot stays gated
+// shut, the refusal is not an outage, and a compatible peer can still
+// claim the slot afterwards.
+TEST(HubTest, HandshakeRejectsDisjointVersionRange) {
+  hub::HubConfig config;
+  config.probe_liveness = false;
+  hub::AwarenessHub awareness_hub(config);
+  const auto gate = awareness_hub.add_slot("tv0");
+  ASSERT_TRUE(awareness_hub.start());
+
+  const int fd = ipc::connect_unix_retry(awareness_hub.path(), 2000);
+  ASSERT_GE(fd, 0);
+  ipc::FramedSocket sock(fd);
+  ipc::Frame hello = hello_frame("tv0");
+  hello.min_version = 200;  // far above the hub's [min_version, max_version]
+  hello.max_version = 210;
+  ASSERT_TRUE(sock.send(hello));
+  ipc::Frame reply;
+  ASSERT_TRUE(pump_until(awareness_hub, [&] {
+    return sock.recv(reply, 0) == ipc::FramedSocket::RecvStatus::kFrame;
+  }));
+  EXPECT_EQ(reply.type, ipc::FrameType::kShutdown);
+  EXPECT_EQ(reply.detail, "version mismatch");
+  ASSERT_TRUE(pump_until(awareness_hub, [&] { return awareness_hub.connection_count() == 0; }));
+  EXPECT_FALSE(gate->load());
+  EXPECT_FALSE(awareness_hub.slot_up("tv0"));
+  EXPECT_EQ(awareness_hub.metrics().counter("hub.rejected"), 1u);
+  EXPECT_TRUE(awareness_hub.link_errors().empty()) << "an unclaimed reject is not an outage";
+
+  ipc::FramedSocket compatible;
+  EXPECT_EQ(handshake(awareness_hub, compatible, "tv0"), ipc::FrameType::kHelloAck);
+  EXPECT_TRUE(gate->load());
+  awareness_hub.stop();
+}
+
 TEST(HubTest, AcceptStormAllSlotsClaimed) {
   constexpr std::size_t kConnections = 64;
   hub::HubConfig config;
@@ -427,15 +465,103 @@ TEST(HubTest, PublisherStreamsToHorizonAndSaysGoodbye) {
   awareness_hub.stop();
 }
 
+// ============================================================ supervision
+
+namespace {
+
+/// A hub publisher running as a real child process. The destructor
+/// SIGKILLs and reaps a child the test did not reap itself, so a failed
+/// assertion never leaves a process behind.
+struct PublisherProcess {
+  pid_t pid = -1;
+
+  explicit PublisherProcess(const hub::PublisherConfig& config) {
+    pid = ::fork();
+    if (pid == 0) ::_exit(hub::run_hub_publisher(config));
+  }
+  PublisherProcess(const PublisherProcess&) = delete;
+  PublisherProcess& operator=(const PublisherProcess&) = delete;
+  ~PublisherProcess() {
+    if (pid > 0) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  }
+  /// Reap the child; returns its wait status.
+  int reap() {
+    int status = 0;
+    EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+    pid = -1;
+    return status;
+  }
+};
+
+}  // namespace
+
+// The hard crash case: the SUO process dies from SIGKILL, so no
+// kShutdown goodbye ever arrives. The hub must see the EOF, report the
+// outage exactly once and gate the slot shut; a restarted publisher
+// must reattach and stream again without a second report.
+TEST(HubSupervision, SigkilledPublisherIsReportedOnceAndReconnects) {
+  hub::HubConfig config;
+  config.probe_liveness = false;  // the EOF alone must reveal the crash
+  hub::AwarenessHub awareness_hub(config);
+  const auto gate = awareness_hub.add_slot("tv0");
+  ASSERT_TRUE(awareness_hub.start());
+
+  hub::PublisherConfig pub;
+  pub.hub_path = awareness_hub.path();
+  pub.name = "tv0";
+  pub.horizon = rt::sec(120);  // outlives the test: only SIGKILL ends it
+  pub.key_period = rt::msec(100);
+  pub.pace_us = 1000;
+
+  PublisherProcess doomed(pub);
+  ASSERT_GT(doomed.pid, 0);
+  ASSERT_TRUE(pump_until(awareness_hub, [&] {
+    return gate->load() && awareness_hub.events_ingested() > 0;
+  }));
+
+  ASSERT_EQ(::kill(doomed.pid, SIGKILL), 0);
+  const int killed = doomed.reap();
+  EXPECT_TRUE(WIFSIGNALED(killed) && WTERMSIG(killed) == SIGKILL);
+  ASSERT_TRUE(pump_until(awareness_hub, [&] { return awareness_hub.connection_count() == 0; }));
+  EXPECT_FALSE(gate->load());
+  ASSERT_EQ(awareness_hub.link_errors().size(), 1u);
+  EXPECT_EQ(awareness_hub.link_errors()[0].observable, "hub.link/tv0");
+  EXPECT_EQ(awareness_hub.metrics().counter("hub.outages"), 1u);
+
+  // A restarted publisher reattaches (the first reconnect after an
+  // outage is free), streams, and leaves with an orderly goodbye.
+  const std::uint64_t ingested_before = awareness_hub.events_ingested();
+  pub.horizon = rt::msec(600);
+  pub.pace_us = 2000;  // ~60 ms of wall time up, so the gate is seen open
+  PublisherProcess restarted(pub);
+  ASSERT_GT(restarted.pid, 0);
+  bool reattached = false;
+  ASSERT_TRUE(pump_until(awareness_hub, [&] {
+    reattached = reattached || gate->load();
+    return reattached && awareness_hub.events_ingested() > ingested_before &&
+           awareness_hub.connection_count() == 0;
+  }));
+  const int finished = restarted.reap();
+  EXPECT_TRUE(WIFEXITED(finished) && WEXITSTATUS(finished) == 0);
+  EXPECT_EQ(awareness_hub.metrics().counter("hub.accepted"), 2u);
+  EXPECT_EQ(awareness_hub.link_errors().size(), 1u) << "reconnect and goodbye are not outages";
+  EXPECT_EQ(awareness_hub.metrics().counter("hub.outages"), 1u);
+  awareness_hub.stop();
+}
+
 // ============================================================== campaign
 
 // The differential gate for the whole subsystem: the same seeded
-// campaign through (a) the in-process bus, (b) one blocking socket per
-// monitor, and (c) the epoll hub multiplexing every aspect over real
-// AF_UNIX connections into a sharded fleet must agree on every verdict,
-// every detection latency and every golden-trace fingerprint. The
-// fingerprints filter to comparator./model. counters, so hub.* and
-// ipc.* transport metrics are free to differ — semantics are not.
+// campaign through (a) the single-scheduler in-process bus, (b) an
+// in-process 2-shard fleet, and (c) the epoll hub multiplexing every
+// aspect over real AF_UNIX connections into a 2-shard fleet must agree
+// on every verdict, every detection latency and every golden-trace
+// fingerprint. The fingerprints filter to comparator./model. counters,
+// so hub.* and ipc.* transport metrics are free to differ — semantics
+// are not.
 TEST(HubCampaign, HubMatchesInProcessAndIpcVerdictForVerdict) {
   tk::CampaignConfig base;
   base.seed = 77;
@@ -443,22 +569,22 @@ TEST(HubCampaign, HubMatchesInProcessAndIpcVerdictForVerdict) {
   base.draw.aspects = 8;
   base.draw.horizon = rt::msec(400);
 
-  tk::CampaignConfig sp = base;
-  sp.executor.ipc = tk::IpcMode::kSocketpair;
+  tk::CampaignConfig sharded = base;
+  sharded.executor.shards = 2;
   tk::CampaignConfig hb = base;
   hb.executor.ipc = tk::IpcMode::kHub;
   hb.executor.shards = 2;
 
   const auto in_process = tk::CampaignRunner(base).run();
-  const auto socketpair = tk::CampaignRunner(sp).run();
+  const auto sharded_run = tk::CampaignRunner(sharded).run();
   const auto hub_run = tk::CampaignRunner(hb).run();
 
   ASSERT_EQ(in_process.results.size(), 20u);
-  ASSERT_EQ(socketpair.results.size(), 20u);
+  ASSERT_EQ(sharded_run.results.size(), 20u);
   ASSERT_EQ(hub_run.results.size(), 20u);
   for (std::size_t i = 0; i < in_process.results.size(); ++i) {
     const auto& ref = in_process.results[i];
-    for (const auto* other : {&socketpair.results[i], &hub_run.results[i]}) {
+    for (const auto* other : {&sharded_run.results[i], &hub_run.results[i]}) {
       EXPECT_EQ(ref.verdict, other->verdict) << ref.name;
       EXPECT_EQ(ref.detection_latency, other->detection_latency) << ref.name;
       EXPECT_EQ(ref.recovered, other->recovered) << ref.name;
@@ -466,7 +592,7 @@ TEST(HubCampaign, HubMatchesInProcessAndIpcVerdictForVerdict) {
       EXPECT_TRUE(diff.identical) << ref.name << ": " << diff.describe();
     }
   }
-  EXPECT_EQ(in_process.golden_trace().fingerprint(), socketpair.golden_trace().fingerprint());
+  EXPECT_EQ(in_process.golden_trace().fingerprint(), sharded_run.golden_trace().fingerprint());
   EXPECT_EQ(in_process.golden_trace().fingerprint(), hub_run.golden_trace().fingerprint());
 }
 
@@ -484,8 +610,20 @@ TEST(HubCampaign, KillAndRestartThroughHubQuiescesAndCompletes) {
   const auto result = executor.run(script);
 
   EXPECT_EQ(result.link_outages, 1u);
+  // No fault was planned and the outage itself must not manufacture
+  // comparator errors: commands in the window reach neither the model
+  // nor the system, and the slot gates quiesce comparison.
   EXPECT_EQ(result.verdict, tk::Verdict::kTrueNegative);
   EXPECT_EQ(result.errors_on_target + result.errors_off_target, 0u);
+
+  bool down_traced = false;
+  bool up_traced = false;
+  for (const auto& line : result.trace.lines()) {
+    if (line.find("link down") != std::string::npos) down_traced = true;
+    if (line.find("link up") != std::string::npos) up_traced = true;
+  }
+  EXPECT_TRUE(down_traced);
+  EXPECT_TRUE(up_traced);
 
   tk::ScenarioExecutor executor2(config);
   const auto replay = executor2.run(script);

@@ -1,39 +1,22 @@
 // Tests for src/ipc: wire codec properties (round-trip, truncation,
-// bit-flip corruption failing closed), version negotiation, transport
-// metrics, supervision state machine, the socketpair-hosted SuoServer +
-// RemoteSuoClient loop, IControl idempotency across the process
-// boundary, kill-and-restart of a real suo_host child process, and
-// verdict-for-verdict campaign equivalence across transports.
-#include <signal.h>
+// bit-flip corruption failing closed, reserved type bytes), version
+// negotiation, transport metrics and partial writes, and the
+// supervision state machine. The hub (tests/hub_test.cpp) covers the
+// same wire end to end: handshakes, SIGKILLed publishers and the
+// cross-backend campaign differential.
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
-#include <memory>
-#include <thread>
 #include <vector>
 
-#include "core/model_impl.hpp"
-#include "core/monitor_builder.hpp"
 #include "gtest/gtest.h"
-#include "ipc/link_gate.hpp"
-#include "ipc/remote_suo.hpp"
-#include "ipc/suo_server.hpp"
 #include "ipc/supervisor.hpp"
 #include "ipc/transport.hpp"
 #include "ipc/wire.hpp"
 #include "runtime/rng.hpp"
-#include "testkit/campaign.hpp"
-#include "testkit/scenario.hpp"
-#include "tv/spec_model.hpp"
 
 namespace rt = trader::runtime;
 namespace ipc = trader::ipc;
-namespace core = trader::core;
-namespace tk = trader::testkit;
-namespace tv = trader::tv;
-namespace flt = trader::faults;
 
 namespace {
 
@@ -53,7 +36,7 @@ std::vector<ipc::Frame> sample_frames() {
   ipc::Frame hello_ack;
   hello_ack.type = ipc::FrameType::kHelloAck;
   hello_ack.seq = 2;
-  hello_ack.detail = "suo_host";
+  hello_ack.detail = "tv0";
   frames.push_back(hello_ack);
 
   ipc::Frame input;
@@ -76,24 +59,6 @@ std::vector<ipc::Frame> sample_frames() {
   output.event.fields["quality"] = 0.875;
   output.event.fields["muted"] = false;
   frames.push_back(output);
-
-  ipc::Frame control;
-  control.type = ipc::FrameType::kControl;
-  control.seq = 5;
-  control.time = rt::msec(80);
-  control.command = "inject";
-  control.args["kind"] = std::int64_t{2};
-  control.args["target"] = std::string("audio");
-  control.args["intensity"] = 0.5;
-  frames.push_back(control);
-
-  ipc::Frame control_ack;
-  control_ack.type = ipc::FrameType::kControlAck;
-  control_ack.seq = 6;
-  control_ack.command = "inject";
-  control_ack.ok = false;
-  control_ack.detail = "unknown target";
-  frames.push_back(control_ack);
 
   ipc::Frame heartbeat;
   heartbeat.type = ipc::FrameType::kHeartbeat;
@@ -155,8 +120,6 @@ void expect_frames_equal(const ipc::Frame& a, const ipc::Frame& b) {
   EXPECT_EQ(a.event.topic, b.event.topic);
   EXPECT_EQ(a.event.name, b.event.name);
   EXPECT_EQ(a.event.fields, b.event.fields);
-  EXPECT_EQ(a.command, b.command);
-  EXPECT_EQ(a.args, b.args);
   EXPECT_EQ(a.ok, b.ok);
   EXPECT_EQ(a.detail, b.detail);
   EXPECT_EQ(a.min_version, b.min_version);
@@ -169,22 +132,6 @@ void expect_frames_equal(const ipc::Frame& a, const ipc::Frame& b) {
   EXPECT_EQ(a.block, b.block);
   EXPECT_EQ(a.unit, b.unit);
 }
-
-// Run a SuoServer over one end of a socketpair on a background thread,
-// hand the other end's fd to a RemoteSuoClient connector.
-struct ServerThread {
-  ipc::SuoServer server;
-  std::thread thread;
-  ipc::SuoServer::ServeResult result = ipc::SuoServer::ServeResult::kDisconnect;
-
-  explicit ServerThread(ipc::FramedSocket sock, ipc::SuoServerConfig config = {})
-      : server(std::move(config)) {
-    thread = std::thread([this, s = std::move(sock)]() mutable { result = server.serve(s); });
-  }
-  ~ServerThread() {
-    if (thread.joinable()) thread.join();
-  }
-};
 
 }  // namespace
 
@@ -220,9 +167,6 @@ TEST(IpcWire, PropertyRandomFramesSurviveChunkedFeeding) {
           rng.uniform_int(0, static_cast<std::int64_t>(samples.size()) - 1))];
       f.seq = static_cast<std::uint32_t>(rng.next_u64());
       f.time = rng.uniform_int(0, rt::sec(100));
-      if (f.type == ipc::FrameType::kControl) {
-        f.args["extra"] = rng.uniform_int(-1000, 1000);
-      }
       if (f.type == ipc::FrameType::kOutputEvent) {
         f.event.fields["n"] = rng.uniform(0.0, 1.0);
       }
@@ -336,6 +280,29 @@ TEST(IpcWire, OversizedPayloadRejectedOnBothSides) {
   ipc::Frame out;
   EXPECT_EQ(decoder.next(out), ipc::DecodeStatus::kFrameTooLarge);
   EXPECT_TRUE(decoder.poisoned());
+}
+
+// Type bytes 5 and 6 once carried a per-monitor control channel; they
+// are reserved now, so a header that is otherwise valid must fail
+// closed on them exactly like any other unknown type.
+TEST(IpcWire, ReservedTypeBytesFailClosed) {
+  ipc::Frame f;
+  f.type = ipc::FrameType::kHeartbeat;
+  f.nonce = 99;
+  const auto clean = ipc::encode_frame(f);
+  ASSERT_FALSE(clean.empty());
+  for (const std::uint8_t type : {std::uint8_t{5}, std::uint8_t{6}}) {
+    auto bytes = clean;
+    bytes[5] = type;  // header offset 5 = frame type
+    ipc::FrameDecoder decoder;
+    decoder.feed(bytes.data(), bytes.size());
+    ipc::Frame out;
+    EXPECT_EQ(decoder.next(out), ipc::DecodeStatus::kBadType) << int{type};
+    EXPECT_TRUE(decoder.poisoned()) << int{type};
+    // Poisoned: even a clean frame after it is refused.
+    decoder.feed(clean.data(), clean.size());
+    EXPECT_NE(decoder.next(out), ipc::DecodeStatus::kOk) << int{type};
+  }
 }
 
 TEST(IpcWire, MalformedSpectrumPayloadFailsClosed) {
@@ -715,332 +682,4 @@ TEST(IpcSupervisor, HeartbeatMissesDegradeThenDeclareDeadOnce) {
   EXPECT_EQ(metrics.snapshot().counter("ipc.outages"), 1u);
   EXPECT_EQ(metrics.snapshot().counter("ipc.reconnects"), 1u);
   EXPECT_EQ(metrics.snapshot().counter("ipc.heartbeat_misses"), 5u);
-}
-
-// ==================================================== client/server loop
-
-TEST(IpcLoop, SocketpairEndToEndDrivesRemoteTv) {
-  auto [server_sock, client_sock] = ipc::socketpair_transport();
-  ServerThread host(std::move(server_sock));
-
-  rt::Scheduler sched;
-  rt::EventBus bus;
-  rt::MetricsRegistry metrics;
-  // Hand the pre-connected fd over exactly once; reconnects get -1.
-  ipc::RemoteSuoClient client(sched, bus,
-                              [fd = client_sock.release(), used = std::make_shared<bool>(false)]() {
-                                if (*used) return -1;
-                                *used = true;
-                                return fd;
-                              });
-  client.set_metrics(&metrics);
-
-  // Observer side: count tv.output events arriving over the wire and
-  // run a MonitorBuilder-built awareness monitor against the remote SUO
-  // with zero core changes.
-  int outputs_seen = 0;
-  bool powered_seen = false;
-  bus.subscribe("tv.output", [&](const rt::Event& ev) {
-    ++outputs_seen;
-    if (ev.name == "powered" && ev.fields.count("value") &&
-        std::get<bool>(ev.fields.at("value"))) {
-      powered_seen = true;
-    }
-  });
-
-  std::vector<core::ErrorReport> monitor_errors;
-  core::MonitorBuilder builder(sched, bus);
-  builder
-      .model(std::make_unique<ipc::LinkGatedModel>(
-          std::make_unique<core::InterpretedModel>(tv::build_tv_spec_model()), client.gate()))
-      .comparison_period(rt::msec(20))
-      .startup_grace(rt::msec(100))
-      .on_error([&](const core::ErrorReport& e) { monitor_errors.push_back(e); });
-  for (const char* name : {"sound_level", "screen_state", "channel", "powered"}) {
-    builder.threshold(name, 0.0, 3);
-  }
-  auto monitor = builder.build();
-
-  client.initialize();
-  ASSERT_TRUE(client.link_up());
-  EXPECT_EQ(client.negotiated_version(), ipc::kProtocolVersion);
-  client.start(sched.now());
-  monitor->start();
-
-  EXPECT_TRUE(client.press(tv::Key::kPower));
-  EXPECT_TRUE(client.advance_to(rt::msec(400)));
-  EXPECT_TRUE(client.press(tv::Key::kVolumeUp));
-  EXPECT_TRUE(client.advance_to(rt::msec(800)));
-  EXPECT_TRUE(client.heartbeat());
-
-  EXPECT_GT(outputs_seen, 0);
-  EXPECT_TRUE(powered_seen);
-  EXPECT_EQ(sched.now(), rt::msec(800));  // lockstep reached on both sides
-  EXPECT_TRUE(monitor_errors.empty()) << "clean run must not raise comparator errors";
-
-  // Fault path over the wire: drop the next volume command inside the
-  // remote SUO, watch the remote comparator view diverge.
-  flt::FaultSpec loss;
-  loss.kind = flt::FaultKind::kMessageLoss;
-  loss.target = "cmd.audio";
-  loss.activate_at = rt::msec(800);
-  loss.duration = rt::msec(100);
-  EXPECT_TRUE(client.inject(loss));
-  EXPECT_TRUE(client.press(tv::Key::kVolumeUp));
-  EXPECT_TRUE(client.advance_to(rt::msec(1600)));
-  EXPECT_FALSE(monitor_errors.empty()) << "lost volume command must be detected remotely";
-
-  // RTT histogram observed every lockstep exchange.
-  const auto snap = metrics.snapshot();
-  ASSERT_TRUE(snap.histograms.count("ipc.rtt_ns"));
-  EXPECT_GT(snap.histograms.at("ipc.rtt_ns").count, 0u);
-  EXPECT_GT(snap.counter("ipc.frames_sent"), 0u);
-
-  EXPECT_TRUE(client.shutdown_remote());
-  host.thread.join();
-  EXPECT_EQ(host.result, ipc::SuoServer::ServeResult::kShutdown);
-}
-
-TEST(IpcLoop, HandshakeRejectsDisjointVersionRanges) {
-  auto [server_sock, client_sock] = ipc::socketpair_transport();
-  ServerThread host(std::move(server_sock));
-
-  rt::Scheduler sched;
-  rt::EventBus bus;
-  ipc::RemoteSuoConfig config;
-  config.min_version = 200;  // the server only speaks [1, 2]
-  config.max_version = 210;
-  ipc::RemoteSuoClient client(sched, bus,
-                              [fd = client_sock.release(), used = std::make_shared<bool>(false)]() {
-                                if (*used) return -1;
-                                *used = true;
-                                return fd;
-                              },
-                              config);
-  client.initialize();
-  EXPECT_FALSE(client.link_up());
-  EXPECT_EQ(client.negotiated_version(), 0);
-  host.thread.join();
-  EXPECT_EQ(host.result, ipc::SuoServer::ServeResult::kHandshakeFailed);
-}
-
-TEST(IpcLoop, ControlLifecycleIsIdempotentAcrossTheWire) {
-  auto [server_sock, client_sock] = ipc::socketpair_transport();
-  ServerThread host(std::move(server_sock));
-
-  rt::Scheduler sched;
-  rt::EventBus bus;
-  ipc::RemoteSuoClient client(sched, bus,
-                              [fd = client_sock.release(), used = std::make_shared<bool>(false)]() {
-                                if (*used) return -1;
-                                *used = true;
-                                return fd;
-                              });
-
-  // Repeated initialize/start are single remote transitions.
-  client.initialize();
-  client.initialize();
-  client.start(sched.now());
-  client.start(sched.now());
-  ASSERT_TRUE(client.link_up());
-
-  EXPECT_TRUE(client.advance_to(rt::msec(200)));
-  const std::uint64_t ticks_running = host.server.tv()->ticks();
-  EXPECT_GT(ticks_running, 0u);
-
-  // stop() pauses remote frame processing; advance acks still flow but
-  // virtual time on the SUO side freezes.
-  client.stop();
-  client.stop();
-  EXPECT_TRUE(client.advance_to(rt::msec(400)));
-  EXPECT_EQ(host.server.tv()->ticks(), ticks_running);
-
-  // Restart resumes without double-scheduling the frame tick: after
-  // advancing another 200 ms the tick count grows by exactly the ticks
-  // of one 20 ms-period clock, not two.
-  client.start(sched.now());
-  EXPECT_TRUE(client.advance_to(rt::msec(600)));
-  const std::uint64_t ticks_after = host.server.tv()->ticks();
-  EXPECT_GT(ticks_after, ticks_running);
-  EXPECT_LE(ticks_after - ticks_running, 21u);  // ~200ms / 20ms + boundary
-
-  EXPECT_EQ(host.server.stats().advances, 3u);
-  EXPECT_TRUE(client.shutdown_remote());
-  host.thread.join();
-
-  // Server-side lifecycle stays idempotent when driven directly too.
-  ipc::SuoServer local;
-  local.initialize();
-  local.initialize();
-  local.start(0);
-  local.start(0);
-  EXPECT_TRUE(local.running());
-  local.stop();
-  local.stop();
-  EXPECT_FALSE(local.running());
-  local.start(0);
-  EXPECT_TRUE(local.running());
-}
-
-// ======================================================== kill & restart
-
-namespace {
-
-pid_t spawn_suo_host(const std::string& path) {
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ipc::SuoServerConfig config;
-    config.read_timeout_ms = 50;
-    ::_exit(ipc::run_suo_host(path, config));
-  }
-  return pid;
-}
-
-}  // namespace
-
-TEST(IpcSupervision, SigkilledHostIsDetectedReportedOnceAndReconnected) {
-  const std::string path = "/tmp/trader-suo-" + std::to_string(::getpid()) + ".sock";
-  pid_t host_pid = spawn_suo_host(path);
-  ASSERT_GT(host_pid, 0);
-
-  rt::Scheduler sched;
-  rt::EventBus bus;
-  rt::MetricsRegistry metrics;
-
-  struct Tap : core::IErrorNotify {
-    std::vector<core::ErrorReport> reports;
-    void on_error(const core::ErrorReport& r) override { reports.push_back(r); }
-  } tap;
-
-  ipc::RemoteSuoConfig config;
-  config.supervisor.backoff_initial_ms = 5;
-  config.supervisor.backoff_max_ms = 50;
-  ipc::RemoteSuoClient client(
-      sched, bus, [&]() { return ipc::connect_unix_retry(path, 2000); }, config);
-  client.set_metrics(&metrics);
-  client.set_error_notify(&tap);
-
-  int outputs_seen = 0;
-  bus.subscribe("tv.output", [&](const rt::Event&) { ++outputs_seen; });
-
-  client.initialize();
-  ASSERT_TRUE(client.link_up());
-  client.start(sched.now());
-  ASSERT_TRUE(client.press(tv::Key::kPower));
-  ASSERT_TRUE(client.advance_to(rt::msec(400)));
-  ASSERT_GT(outputs_seen, 0);
-  EXPECT_TRUE(client.gate()->load());
-
-  // SIGKILL the host: the hard crash case — no goodbye frame.
-  ASSERT_EQ(::kill(host_pid, SIGKILL), 0);
-  ASSERT_EQ(::waitpid(host_pid, nullptr, 0), host_pid);
-
-  // The next exchange trips crash detection. Exactly one outage report
-  // surfaces through the error tap; further commands fail silently
-  // (degraded, comparator gated) instead of flooding.
-  EXPECT_FALSE(client.advance_to(rt::msec(800)));
-  EXPECT_EQ(sched.now(), rt::msec(800));  // local time flows regardless
-  EXPECT_FALSE(client.link_up());
-  EXPECT_FALSE(client.gate()->load());
-  ASSERT_EQ(tap.reports.size(), 1u);
-  EXPECT_EQ(tap.reports[0].observable, "ipc.link");
-  for (int i = 0; i < 5; ++i) EXPECT_FALSE(client.press(tv::Key::kVolumeUp));
-  EXPECT_FALSE(client.heartbeat());
-  EXPECT_EQ(tap.reports.size(), 1u) << "outage must be reported exactly once";
-  EXPECT_EQ(client.outage_reports(), 1u);
-
-  // Restart the host; the supervisor reconnects with backoff, replays
-  // the lifecycle, resyncs, and the run completes.
-  host_pid = spawn_suo_host(path);
-  ASSERT_GT(host_pid, 0);
-  bool reconnected = false;
-  for (int attempt = 0; attempt < 50 && !reconnected; ++attempt) {
-    reconnected = client.try_reconnect();
-  }
-  ASSERT_TRUE(reconnected);
-  EXPECT_TRUE(client.link_up());
-  EXPECT_TRUE(client.gate()->load());
-  EXPECT_EQ(client.supervisor().reconnects(), 1u);
-  EXPECT_EQ(metrics.snapshot().counter("ipc.outages"), 1u);
-
-  const int outputs_before = outputs_seen;
-  EXPECT_TRUE(client.press(tv::Key::kPower));
-  EXPECT_TRUE(client.advance_to(rt::msec(1200)));
-  EXPECT_GT(outputs_seen, outputs_before) << "fresh host must feed the observer again";
-  EXPECT_TRUE(client.heartbeat());
-  EXPECT_EQ(tap.reports.size(), 1u);
-
-  EXPECT_TRUE(client.shutdown_remote());
-  ASSERT_EQ(::waitpid(host_pid, nullptr, 0), host_pid);
-  ipc::unlink_unix(path);
-}
-
-// ================================================================ campaign
-
-TEST(IpcCampaign, TransportsMatchInProcessVerdictForVerdict) {
-  tk::CampaignConfig base;
-  base.seed = 77;
-  base.scenarios = 20;
-  base.draw.aspects = 3;
-  base.draw.horizon = rt::msec(400);
-
-  tk::CampaignConfig sp = base;
-  sp.executor.ipc = tk::IpcMode::kSocketpair;
-  tk::CampaignConfig un = base;
-  un.executor.ipc = tk::IpcMode::kUnix;
-
-  const auto in_process = tk::CampaignRunner(base).run();
-  const auto socketpair = tk::CampaignRunner(sp).run();
-  const auto unix_socket = tk::CampaignRunner(un).run();
-
-  ASSERT_EQ(in_process.results.size(), 20u);
-  ASSERT_EQ(socketpair.results.size(), 20u);
-  ASSERT_EQ(unix_socket.results.size(), 20u);
-  for (std::size_t i = 0; i < in_process.results.size(); ++i) {
-    const auto& ref = in_process.results[i];
-    for (const auto* other : {&socketpair.results[i], &unix_socket.results[i]}) {
-      EXPECT_EQ(ref.verdict, other->verdict) << ref.name;
-      EXPECT_EQ(ref.detection_latency, other->detection_latency) << ref.name;
-      EXPECT_EQ(ref.recovered, other->recovered) << ref.name;
-      const auto diff = tk::GoldenTrace::diff(ref.trace, other->trace);
-      EXPECT_TRUE(diff.identical) << ref.name << ": " << diff.describe();
-    }
-  }
-  EXPECT_EQ(in_process.golden_trace().fingerprint(), socketpair.golden_trace().fingerprint());
-  EXPECT_EQ(in_process.golden_trace().fingerprint(), unix_socket.golden_trace().fingerprint());
-}
-
-TEST(IpcCampaign, KillAndRestartScenarioQuiescesAndCompletes) {
-  tk::ScenarioScript script;
-  script.name("kill-restart").aspects(2).horizon(rt::msec(500));
-  script.every(rt::msec(20), rt::msec(20), rt::msec(480));
-
-  tk::ExecutorConfig config;
-  config.ipc = tk::IpcMode::kSocketpair;
-  config.suo_down_at = rt::msec(120);
-  config.suo_up_at = rt::msec(240);
-
-  tk::ScenarioExecutor executor(config);
-  const auto result = executor.run(script);
-
-  EXPECT_EQ(result.link_outages, 1u);
-  // No fault was planned and the outage itself must not manufacture
-  // comparator errors: commands in the window reach neither the model
-  // nor the system, and the link gate quiesces comparison.
-  EXPECT_EQ(result.verdict, tk::Verdict::kTrueNegative);
-  EXPECT_EQ(result.errors_on_target + result.errors_off_target, 0u);
-
-  bool down_traced = false;
-  bool up_traced = false;
-  for (const auto& line : result.trace.lines()) {
-    if (line.find("link down") != std::string::npos) down_traced = true;
-    if (line.find("link up") != std::string::npos) up_traced = true;
-  }
-  EXPECT_TRUE(down_traced);
-  EXPECT_TRUE(up_traced);
-
-  // Determinism: the same outage scenario replays to the same trace.
-  tk::ScenarioExecutor executor2(config);
-  const auto replay = executor2.run(script);
-  EXPECT_EQ(result.trace.fingerprint(), replay.trace.fingerprint());
 }

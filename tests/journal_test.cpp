@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -48,7 +49,8 @@ namespace tk = trader::testkit;
 
 namespace {
 
-/// Scratch journal directory, purged and removed on scope exit.
+/// Scratch journal directory, removed with everything under it on
+/// scope exit — crash campaigns nest one sNNN/ journal per scenario.
 struct TempDir {
   std::string path;
   TempDir() {
@@ -59,8 +61,8 @@ struct TempDir {
   }
   ~TempDir() {
     if (path.empty()) return;
-    jn::purge_journal_dir(path);
-    ::rmdir(path.c_str());
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
   }
 };
 
@@ -203,6 +205,22 @@ TEST(JournalCodec, FailsClosedAndStaysFailed) {
   jn::Decoder dec2(enc2.buffer());
   (void)dec2.boolean();
   EXPECT_FALSE(dec2.ok());
+}
+
+// A crash campaign leaves sNNN/ journal subdirectories in its scratch
+// directory; scope exit must remove those too, or every run leaks a
+// journal_test_XXXXXX tree into the working directory.
+TEST(JournalTempDir, NestedScenarioDirIsRemovedOnScopeExit) {
+  std::string path;
+  {
+    TempDir dir;
+    path = dir.path;
+    ASSERT_FALSE(path.empty());
+    ASSERT_EQ(::mkdir((path + "/s000").c_str(), 0700), 0);
+    write_file(path + "/s000/wal-00000000000000000001.log", {1, 2, 3});
+    ASSERT_TRUE(std::filesystem::exists(path + "/s000/wal-00000000000000000001.log"));
+  }
+  EXPECT_FALSE(std::filesystem::exists(path)) << path << " leaked";
 }
 
 // ================================================================ WAL

@@ -473,7 +473,5 @@ TEST(Campaign, BackendLabelSharedHelper) {
   EXPECT_EQ(tk::backend_label(cfg), "sharded(4)+ipc-hub+interpreted");
   // to_string names come from the backend registry — one source.
   EXPECT_STREQ(tk::to_string(tk::IpcMode::kOff), "off");
-  EXPECT_STREQ(tk::to_string(tk::IpcMode::kSocketpair), "socketpair");
-  EXPECT_STREQ(tk::to_string(tk::IpcMode::kUnix), "unix");
   EXPECT_STREQ(tk::to_string(tk::IpcMode::kHub), "hub");
 }
